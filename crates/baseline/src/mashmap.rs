@@ -19,7 +19,7 @@
 
 use jem_core::{make_segments, Mapping, ReadEnd};
 use jem_index::SubjectId;
-use jem_psim::{CostModel, ExecMode, RunReport, World};
+use jem_psim::{block_range, CostModel, ExecMode, RunReport, World};
 use jem_seq::SeqRecord;
 use jem_sketch::{minimizers, Minimizer, MinimizerParams};
 use std::collections::HashMap;
@@ -219,14 +219,8 @@ pub fn run_mashmap_threaded(
     });
     let segments = make_segments(reads, config.ell);
     let per_rank: Vec<Vec<Mapping>> = world.superstep("query map", |rank| {
-        let range = {
-            let base = segments.len() / threads;
-            let extra = segments.len() % threads;
-            let start = rank * base + rank.min(extra);
-            start..(start + base + usize::from(rank < extra)).min(segments.len())
-        };
         let mut out = Vec::new();
-        for seg in &segments[range] {
+        for seg in &segments[block_range(threads, segments.len(), rank)] {
             if let Some((subject, score)) = mapper.map_segment(&seg.seq) {
                 out.push(Mapping {
                     read_idx: seg.read_idx,

@@ -8,9 +8,9 @@
 
 use crate::data::{env_seed, eval_jem, PreparedDataset};
 use crate::output::{f, obj, pct, print_table, save_json};
-use jem_core::{run_distributed, JemMapper, MapperConfig};
+use jem_core::{JemMapper, MapperConfig};
 use jem_index::{HitCounter, LazyHitCounter, NaiveHitCounter};
-use jem_psim::{CostModel, ExecMode};
+use jem_psim::CostModel;
 use jem_sim::DatasetId;
 use std::time::Instant;
 
@@ -110,14 +110,7 @@ pub fn run() {
         ("10GbE", CostModel::ethernet_10g()),
         ("InfiniBand", CostModel::infiniband()),
     ] {
-        let o = run_distributed(
-            &prep.subjects,
-            &prep.reads,
-            &base,
-            64,
-            cost,
-            ExecMode::Sequential,
-        );
+        let o = super::run_simulated(&prep, &base, 64, cost);
         let frac = o.report.comm_fraction();
         rows.push(vec![label.to_string(), pct(1.0 - frac), pct(frac)]);
         series.push(obj([

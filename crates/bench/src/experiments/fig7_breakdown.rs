@@ -3,8 +3,7 @@
 
 use crate::data::{env_seed, PreparedDataset};
 use crate::output::{f, obj, print_table, save_json};
-use jem_core::run_distributed;
-use jem_psim::{CostModel, ExecMode};
+use jem_psim::CostModel;
 
 /// Process counts for the throughput series.
 pub const PROCS: &[usize] = &[4, 8, 16, 32, 64];
@@ -20,14 +19,7 @@ pub fn run() {
         let prep = PreparedDataset::generate(&spec, env_seed());
 
         // (a) breakdown at p = 16.
-        let outcome = run_distributed(
-            &prep.subjects,
-            &prep.reads,
-            &config,
-            16,
-            cost,
-            ExecMode::Sequential,
-        );
+        let outcome = super::run_simulated(&prep, &config, 16, cost);
         let b = outcome.breakdown();
         rows_a.push(vec![
             prep.name().to_string(),
@@ -41,14 +33,7 @@ pub fn run() {
         // (b) throughput vs p.
         let mut series = Vec::new();
         for &p in PROCS {
-            let o = run_distributed(
-                &prep.subjects,
-                &prep.reads,
-                &config,
-                p,
-                cost,
-                ExecMode::Sequential,
-            );
+            let o = super::run_simulated(&prep, &config, p, cost);
             series.push(o.query_throughput());
         }
         let mut row = vec![prep.name().to_string()];

@@ -3,8 +3,7 @@
 
 use crate::data::{env_seed, PreparedDataset};
 use crate::output::{obj, print_table, save_json};
-use jem_core::run_distributed;
-use jem_psim::{CostModel, ExecMode};
+use jem_psim::CostModel;
 use jem_sim::DatasetId;
 
 /// Process counts swept by the paper's figure.
@@ -20,14 +19,7 @@ pub fn run() {
         let prep = PreparedDataset::generate(&super::spec(id), env_seed());
         let mut series = Vec::new();
         for &p in PROCS {
-            let o = run_distributed(
-                &prep.subjects,
-                &prep.reads,
-                &config,
-                p,
-                cost,
-                ExecMode::Sequential,
-            );
+            let o = super::run_simulated(&prep, &config, p, cost);
             let comm = o.report.comm_fraction();
             series.push(comm);
             rows.push(vec![

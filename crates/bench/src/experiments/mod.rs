@@ -11,13 +11,37 @@ pub mod fig9_identity;
 pub mod table1_datasets;
 pub mod table2_scaling;
 
+use crate::data::PreparedDataset;
 use jem_baseline::MashmapConfig;
-use jem_core::MapperConfig;
+use jem_core::{run_distributed, DistributedOutcome, MapperConfig, ResilienceOptions};
+use jem_psim::{CostModel, ExecMode};
 use jem_sim::{paper_analogues, DatasetId, DatasetSpec};
 
 /// The paper's default JEM configuration (§IV-A-c).
 pub fn jem_config() -> MapperConfig {
     MapperConfig::default()
+}
+
+/// A fault-free run of the S1–S4 driver on `p` simulated ranks, executed
+/// back-to-back so per-rank timings are exact (Table II, Figs. 7–8).
+pub fn run_simulated(
+    prep: &PreparedDataset,
+    config: &MapperConfig,
+    p: usize,
+    cost: CostModel,
+) -> DistributedOutcome {
+    let opts = ResilienceOptions::default();
+    let (subjects, reads) = (&prep.subjects, &prep.reads);
+    run_distributed(
+        subjects,
+        reads,
+        config,
+        p,
+        cost,
+        ExecMode::Sequential,
+        &opts,
+    )
+    .expect("a fault-free run cannot fail")
 }
 
 /// Mashmap configured per its own parameterization rule.

@@ -4,7 +4,6 @@
 use crate::data::{env_seed, PreparedDataset};
 use crate::output::{f, obj, print_table, save_json};
 use jem_baseline::run_mashmap_threaded;
-use jem_core::run_distributed;
 use jem_psim::{CostModel, ExecMode};
 
 /// Process counts swept by the paper's table.
@@ -21,28 +20,14 @@ pub fn run() {
         let prep = PreparedDataset::generate(&spec, env_seed());
         // Untimed warm-up so the p=4 row doesn't absorb allocator/page-cache
         // first-touch costs.
-        let _ = run_distributed(
-            &prep.subjects,
-            &prep.reads,
-            &config,
-            2,
-            cost,
-            ExecMode::Sequential,
-        );
+        let _ = super::run_simulated(&prep, &config, 2, cost);
         let mut jem_secs = Vec::new();
         for &p in PROCS {
             let best = (0..2)
                 .map(|_| {
-                    run_distributed(
-                        &prep.subjects,
-                        &prep.reads,
-                        &config,
-                        p,
-                        cost,
-                        ExecMode::Sequential,
-                    )
-                    .report
-                    .makespan_secs()
+                    super::run_simulated(&prep, &config, p, cost)
+                        .report
+                        .makespan_secs()
                 })
                 .fold(f64::INFINITY, f64::min);
             jem_secs.push(best);

@@ -5,9 +5,9 @@ use crate::error::CliError;
 use crate::io::{read_sequences, write_fasta, write_file_atomic, AtomicFile};
 use jem_anchor::{write_paf, AnchorPipeline, PafRow, RefineScratch, RefineStats, Refiner};
 use jem_core::{
-    load_index_path, load_index_path_opts, make_segments, map_reads_parallel_with,
-    run_distributed_resilient, save_index, write_mappings_tsv, write_mappings_tsv_named, Integrity,
-    JemMapper, MapperConfig, Mapping, ReadEnd, ResilienceOptions,
+    load_index_path, load_index_path_opts, make_segments, map_reads_parallel_with, run_distributed,
+    save_index, write_mappings_tsv, write_mappings_tsv_named, Integrity, JemMapper, MapperConfig,
+    Mapping, ReadEnd, ResilienceOptions,
 };
 use jem_eval::{parse_paf, Benchmark, MappingMetrics, PafAccuracy};
 use jem_psim::{CostModel, ExecMode, FaultPlan};
@@ -325,19 +325,8 @@ pub fn cmd_distributed(args: &Args) -> Result<(), CliError> {
     };
     // `--threads` is a mode switch here (ranks are simulated): bare it
     // selects the threaded executor; with a value it additionally sets
-    // the default lane count (`RAYON_NUM_THREADS`, read by
-    // `jem_index::default_lanes`), so the value is validated like
-    // everywhere else.
-    let mode = if args.has("threads") || args.get("threads").is_some() {
-        if let Some(v) = args.get("threads") {
-            let n: usize = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("cannot parse --threads value {v:?}")))?;
-            if n == 0 {
-                return Err(CliError::Usage("--threads must be at least 1".into()));
-            }
-            std::env::set_var("RAYON_NUM_THREADS", n.to_string());
-        }
+    // the default lane count, exactly as in every other command.
+    let mode = if args.has("threads") || thread_count(args)?.is_some() {
         ExecMode::Threaded
     } else {
         ExecMode::Sequential
@@ -348,7 +337,7 @@ pub fn cmd_distributed(args: &Args) -> Result<(), CliError> {
         reads.len(),
         opts.plan
     );
-    let outcome = run_distributed_resilient(
+    let outcome = run_distributed(
         &subjects,
         &reads,
         &config,
@@ -378,22 +367,10 @@ pub fn cmd_distributed(args: &Args) -> Result<(), CliError> {
     );
 
     if let Some(path) = args.get("out") {
+        let names: Vec<String> = subjects.iter().map(|s| s.id.clone()).collect();
         let mut out = AtomicFile::create(path).map_err(CliError::io(path))?;
-        let write = |out: &mut dyn Write| -> std::io::Result<()> {
-            writeln!(out, "#query\tsubject\thits\ttrials")?;
-            for m in &outcome.mappings {
-                writeln!(
-                    out,
-                    "{}\t{}\t{}\t{}",
-                    m.query_key(&reads),
-                    subjects[m.subject as usize].id,
-                    m.hits,
-                    config.trials
-                )?;
-            }
-            Ok(())
-        };
-        write(&mut out).map_err(CliError::io(path))?;
+        write_mappings_tsv_named(&mut out, &outcome.mappings, &reads, &names, config.trials)
+            .map_err(CliError::format(path))?;
         out.commit().map_err(CliError::io(path))?;
     }
     if let Some((path, rec)) = metrics {

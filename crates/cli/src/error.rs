@@ -36,7 +36,7 @@ pub enum CliError {
         /// How long the server said to wait before retrying.
         retry_after: std::time::Duration,
     },
-    /// The resilient distributed run could not complete.
+    /// The distributed run could not complete.
     Resilience(ResilienceError),
 }
 

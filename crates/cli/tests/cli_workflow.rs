@@ -211,3 +211,29 @@ fn index_writes_only_v5() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn distributed_out_equals_map_out() {
+    let dir = workdir("distributed");
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    run(jem()
+        .args(["simulate", "--out", dir.to_str().unwrap()])
+        .args(["--genome-len", "120000", "--coverage", "4", "--seed", "11"]));
+    let inputs = ["--subjects", &p("contigs.fa"), "--queries", &p("reads.fq")];
+    run(jem().arg("map").args(inputs).args(["--out", &p("map.tsv")]));
+    let expected = std::fs::read(p("map.tsv")).unwrap();
+    assert!(expected.split(|&b| b == b'\n').count() > 10);
+    for plan in [None, Some("crash@1:query map,corrupt@2:subject sketch")] {
+        let mut cmd = jem();
+        cmd.arg("distributed")
+            .args(inputs)
+            .args(["--ranks", "4", "--out", &p("dist.tsv")]);
+        if let Some(plan) = plan {
+            cmd.args(["--fault-plan", plan]);
+        }
+        run(&mut cmd);
+        let got = std::fs::read(p("dist.tsv")).unwrap();
+        assert!(got == expected, "plan {plan:?}: distributed TSV differs");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -19,11 +19,11 @@
 //! * [`distributed::run_distributed`] — the paper's S1–S4 distributed
 //!   algorithm executed on the `jem-psim` BSP world, producing the per-step
 //!   timing breakdown of Figs. 7–8 and the strong-scaling data of Table II.
-//! * [`resilient::run_distributed_resilient`] — the same pipeline under a
-//!   [`jem_psim::FaultPlan`]: crashed ranks' blocks are reassigned and
-//!   replayed, corrupted sketch streams are detected (framed, checksummed
-//!   transport) and re-requested, and an optional checkpoint makes the run
-//!   restartable past the sketch-gather barrier.
+//!   It runs under a [`jem_psim::FaultPlan`] (empty by default): crashed
+//!   ranks' blocks are reassigned and replayed, corrupted sketch streams
+//!   are detected (framed, checksummed transport) and re-requested, and an
+//!   optional checkpoint makes the run restartable past the sketch-gather
+//!   barrier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,17 +35,17 @@ pub mod mapper;
 pub mod parallel;
 pub mod persist;
 pub mod report;
-pub mod resilient;
 pub mod segment;
 
 pub use config::MapperConfig;
 pub use contained::{ContainedHit, TiledMapping};
-pub use distributed::{run_distributed, DistributedOutcome, StepBreakdown};
+pub use distributed::{
+    run_distributed, DistributedOutcome, ResilienceError, ResilienceOptions, StepBreakdown,
+};
 pub use mapper::{JemMapper, MapScratch, Mapping};
 pub use parallel::{map_reads_parallel, map_reads_parallel_with};
 pub use persist::{
     load_index, load_index_path, load_index_path_opts, load_index_path_with, save_index, Integrity,
 };
 pub use report::{mapping_pairs, write_mappings_tsv, write_mappings_tsv_named};
-pub use resilient::{run_distributed_resilient, ResilienceError, ResilienceOptions};
 pub use segment::{make_segments, QuerySegment, ReadEnd};

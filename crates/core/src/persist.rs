@@ -63,7 +63,7 @@
 use crate::config::MapperConfig;
 use crate::mapper::JemMapper;
 use jem_index::{
-    checksum_continue, checksum_words, default_lanes, FlatTable, TableBuilder, WordSource,
+    checksum_continue, checksum_words, default_lanes, fnv1a64, FlatTable, TableBuilder, WordSource,
 };
 use jem_mmap::MmapWords;
 use jem_seq::SeqError;
@@ -92,16 +92,6 @@ pub enum Integrity {
     /// ids only — a damaged code goes undetected (it just stops matching).
     /// For re-opening artifacts that were fully verified when produced.
     HeaderOnly,
-}
-
-/// FNV-1a over raw bytes — the integrity check of the v3 index frame.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn format_err(msg: impl Into<String>) -> SeqError {

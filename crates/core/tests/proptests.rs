@@ -2,8 +2,8 @@
 
 use jem_check::prelude::*;
 use jem_core::{
-    make_segments, map_reads_parallel, run_distributed, run_distributed_resilient, JemMapper,
-    MapperConfig, ReadEnd, ResilienceOptions,
+    make_segments, map_reads_parallel, run_distributed, JemMapper, MapperConfig, ReadEnd,
+    ResilienceOptions,
 };
 use jem_psim::{CostModel, ExecMode, FaultPlan};
 use jem_seq::SeqRecord;
@@ -75,7 +75,9 @@ proptest! {
             p,
             CostModel::zero(),
             ExecMode::Sequential,
-        );
+            &ResilienceOptions::default(),
+        )
+        .expect("a fault-free run cannot fail");
         prop_assert_eq!(&distributed.mappings, &sequential);
     }
 
@@ -98,22 +100,15 @@ proptest! {
             .map(|(i, s)| SeqRecord::new(format!("r{i}"), s))
             .collect();
         let config = MapperConfig { k: 11, w: 8, trials: 6, ell: 400, seed: 3 };
-        let expected = run_distributed(
-            &subject_recs,
-            &read_recs,
-            &config,
-            p,
-            CostModel::zero(),
-            ExecMode::Sequential,
-        )
-        .mappings;
+        let mut expected = JemMapper::build(&subject_recs, &config).map_reads(&read_recs);
+        expected.sort_unstable();
         // Crash anywhere between 1 and p-1 ranks at random steps, plus a
         // few corrupted sketch payloads; output must be untouched.
         let steps = ["input load", "subject sketch", "query map"];
         let n_crashes = 1 + (seed as usize) % (p - 1).max(1);
         let plan = FaultPlan::random(seed, p, &steps, n_crashes, n_corrupt);
         let opts = ResilienceOptions { plan: plan.clone(), ..Default::default() };
-        let outcome = run_distributed_resilient(
+        let outcome = run_distributed(
             &subject_recs,
             &read_recs,
             &config,

@@ -38,4 +38,4 @@ pub use flat::{FlatError, FlatTable, WordSource};
 pub use hits::{HitCounter, HitStats, LazyHitCounter, NaiveHitCounter};
 pub use par::{default_lanes, par_map};
 pub use probe::{BestHit, ProbeScratch, Ranking, SlotFilter, TrialSink};
-pub use stream::{checksum_continue, checksum_words, DecodeError, SubjectId};
+pub use stream::{checksum_continue, checksum_words, fnv1a64, DecodeError, SubjectId};

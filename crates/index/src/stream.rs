@@ -92,6 +92,23 @@ impl std::error::Error for DecodeError {}
 /// FNV-1a offset basis: the state of [`checksum_continue`] over no words.
 const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Continue an FNV-1a state over more bytes.
+#[inline]
+fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a over raw bytes — the workspace's one FNV-1a: the checksum of
+/// the v3 index frame and of the serving protocol's frames, and (over
+/// little-endian words) [`checksum_words`].
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_continue(CHECKSUM_SEED, bytes)
+}
+
 /// FNV-1a over a word stream (little-endian bytes of each `u64`) — the
 /// integrity check of the framed transport encoding and of index files.
 pub fn checksum_words(words: &[u64]) -> u64 {
@@ -101,14 +118,10 @@ pub fn checksum_words(words: &[u64]) -> u64 {
 /// Continue an FNV-1a state over more words, so a checksum can span
 /// several slices: `checksum_words(a ++ b)` equals
 /// `checksum_continue(checksum_words(a), b)`.
-pub fn checksum_continue(mut h: u64, words: &[u64]) -> u64 {
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+pub fn checksum_continue(h: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(h, |h, w| fnv1a64_continue(h, &w.to_le_bytes()))
 }
 
 impl TableBuilder {
@@ -318,6 +331,11 @@ mod tests {
         let split = checksum_continue(checksum_words(&words[..1]), &words[1..]);
         assert_eq!(whole, split);
         assert_eq!(checksum_words(&[]), CHECKSUM_SEED);
+        // The word checksum is the byte FNV-1a over little-endian words,
+        // and that is the published FNV-1a 64 ("a" is the reference vector).
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(fnv1a64(&bytes), whole);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   individually (ranks execute back-to-back by default, so measurements
 //!   are not distorted by oversubscription; a threaded executor is available
 //!   for hosts with enough cores).
-//! * **Collectives** ([`World::allgatherv`], [`World::gather`],
-//!   [`World::broadcast`]) move values between ranks and
+//! * **Collectives** ([`World::allgatherv`]; [`World::charge_comm`] when
+//!   the caller states the wire size) move values between ranks and
 //!   charge *virtual* communication time from a [`CostModel`] — the
 //!   `τ·log p + μ·bytes` LogP-style model the paper itself uses for its
 //!   complexity analysis (§III-C-1).

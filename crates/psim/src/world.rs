@@ -88,8 +88,8 @@ impl World {
     }
 
     /// Install a fault plan. Faults fire only in [`World::superstep_faulty`]
-    /// steps; the plain collectives and [`World::superstep`] are the
-    /// fault-oblivious legacy path and ignore the plan.
+    /// steps; the collectives, [`World::superstep`] and
+    /// [`World::superstep_replicated`] ignore the plan.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -133,16 +133,28 @@ impl World {
         block_range(self.p, n, rank)
     }
 
-    /// Report the step just pushed onto `self.steps` to the process-global
+    /// Record a compute step (`per_rank_secs`, no traffic) or a collective
+    /// (`comm_secs` for `bytes`), and report it to the process-global
     /// metrics recorder (free when none is installed). A world running
     /// under `--metrics` thus surfaces its simulated per-step breakdown
     /// live, in the same snapshot as the shared-memory pipeline's spans.
-    fn observe_last_step(&self) {
+    fn record(&mut self, name: &str, kind: StepKind, per_rank_secs: Vec<f64>, bytes: usize) {
+        let comm_secs = match kind {
+            StepKind::Compute => 0.0,
+            StepKind::Communication => self.cost.collective_cost(self.p, bytes),
+        };
+        let step = StepReport {
+            name: name.to_string(),
+            kind,
+            per_rank_secs,
+            comm_secs,
+            bytes,
+        };
         let rec = jem_obs::recorder();
         if rec.enabled() {
-            let step = self.steps.last().expect("called right after a push");
-            crate::report::record_step(step, rec);
+            crate::report::record_step(&step, rec);
         }
+        self.steps.push(step);
     }
 
     /// Evaluate `f(rank)` for every rank with `run[rank]`, timing each;
@@ -182,14 +194,7 @@ impl World {
             .into_iter()
             .map(|slot| slot.expect("every rank runs"))
             .unzip();
-        self.steps.push(StepReport {
-            name: name.to_string(),
-            kind: StepKind::Compute,
-            per_rank_secs: per_rank,
-            comm_secs: 0.0,
-            bytes: 0,
-        });
-        self.observe_last_step();
+        self.record(name, StepKind::Compute, per_rank, 0);
         outputs
     }
 
@@ -285,14 +290,7 @@ impl World {
                 }
             }
         }
-        self.steps.push(StepReport {
-            name: name.to_string(),
-            kind: StepKind::Compute,
-            per_rank_secs: per_rank,
-            comm_secs: 0.0,
-            bytes: 0,
-        });
-        self.observe_last_step();
+        self.record(name, StepKind::Compute, per_rank, 0);
         outcomes
     }
 
@@ -304,27 +302,8 @@ impl World {
         let t0 = Instant::now();
         let out = f();
         let dt = t0.elapsed().as_secs_f64();
-        self.steps.push(StepReport {
-            name: name.to_string(),
-            kind: StepKind::Compute,
-            per_rank_secs: vec![dt; self.p],
-            comm_secs: 0.0,
-            bytes: 0,
-        });
-        self.observe_last_step();
+        self.record(name, StepKind::Compute, vec![dt; self.p], 0);
         out
-    }
-
-    fn charge(&mut self, name: &str, bytes: usize) {
-        let comm_secs = self.cost.collective_cost(self.p, bytes);
-        self.steps.push(StepReport {
-            name: name.to_string(),
-            kind: StepKind::Communication,
-            per_rank_secs: Vec::new(),
-            comm_secs,
-            bytes,
-        });
-        self.observe_last_step();
     }
 
     /// `MPI_Allgatherv`: every rank contributes a variable-length vector;
@@ -336,7 +315,7 @@ impl World {
     pub fn allgatherv<T: Send>(&mut self, name: &str, locals: Vec<Vec<T>>) -> Vec<T> {
         assert_eq!(locals.len(), self.p, "one contribution per rank required");
         let total: usize = locals.iter().map(Vec::len).sum();
-        self.charge(name, total * std::mem::size_of::<T>());
+        self.charge_comm(name, total * std::mem::size_of::<T>());
         let mut out = Vec::with_capacity(total);
         for l in locals {
             out.extend(l);
@@ -344,25 +323,10 @@ impl World {
         out
     }
 
-    /// `MPI_Gather` to rank 0: returns the rank-ordered values.
-    pub fn gather<T: Send>(&mut self, name: &str, locals: Vec<T>) -> Vec<T> {
-        assert_eq!(locals.len(), self.p, "one contribution per rank required");
-        self.charge(name, locals.len() * std::mem::size_of::<T>());
-        locals
-    }
-
-    /// `MPI_Bcast` from rank 0: every rank receives a clone of `value`.
-    /// `payload_bytes` sizes the charged traffic (heap payloads are opaque
-    /// to `size_of`, so the caller states the volume).
-    pub fn broadcast<T: Clone>(&mut self, name: &str, value: T, payload_bytes: usize) -> Vec<T> {
-        self.charge(name, payload_bytes);
-        vec![value; self.p]
-    }
-
     /// Record an explicitly-sized communication event (for payloads whose
     /// wire size `size_of` cannot see, e.g. nested vectors).
     pub fn charge_comm(&mut self, name: &str, bytes: usize) {
-        self.charge(name, bytes);
+        self.record(name, StepKind::Communication, Vec::new(), bytes);
     }
 
     /// Finish the run and return its timing report.
@@ -476,14 +440,6 @@ mod tests {
     fn allgatherv_requires_p_contributions() {
         let mut w = World::new(3, CostModel::zero());
         w.allgatherv("g", vec![vec![1u8]]);
-    }
-
-    #[test]
-    fn broadcast_clones_to_all() {
-        let mut w = World::new(4, CostModel::ethernet_10g());
-        let copies = w.broadcast("b", String::from("hi"), 2);
-        assert_eq!(copies.len(), 4);
-        assert!(copies.iter().all(|c| c == "hi"));
     }
 
     #[test]

@@ -48,6 +48,8 @@
 
 use crate::ServeError;
 use jem_core::{MapperConfig, Mapping, QuerySegment, ReadEnd};
+/// FNV-1a over raw bytes — the same checksum the index persist frame uses.
+pub use jem_index::fnv1a64;
 use jem_index::SubjectId;
 use jem_sketch::SketchScheme;
 use std::io::{Read, Write};
@@ -96,16 +98,6 @@ impl ProtocolVersion {
             ProtocolVersion::V3 => MAGIC_V3,
         }
     }
-}
-
-/// FNV-1a over raw bytes — same checksum the index persist frame uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A client-to-server message.

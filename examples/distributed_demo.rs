@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example distributed_demo`
 
 use jem::prelude::*;
-use jem_core::run_distributed;
+use jem_core::{run_distributed, ResilienceOptions};
 use jem_psim::{CostModel, ExecMode};
 
 fn main() {
@@ -40,7 +40,9 @@ fn main() {
             p,
             cost,
             ExecMode::Sequential,
-        );
+            &ResilienceOptions::default(),
+        )
+        .expect("a fault-free run cannot fail");
         let b = o.breakdown();
         println!(
             "| {p} | {:.4} | {:.4} | {:.4} | {:.4} | {:.4} | {:.1}% |",

@@ -1,12 +1,12 @@
 //! Fault-tolerance demo: inject crashes, corrupted sketch streams and a
-//! straggler into the simulated BSP world, recover with the resilient
+//! straggler into the simulated BSP world, recover with the distributed
 //! driver, and show that the mapping output is byte-identical to the
 //! fault-free run — only the (simulated) makespan degrades.
 //!
 //! Run: `cargo run --release --example fault_tolerance_demo`
 
 use jem::prelude::*;
-use jem_core::{run_distributed, run_distributed_resilient, ResilienceOptions};
+use jem_core::{run_distributed, ResilienceOptions};
 use jem_psim::{CostModel, ExecMode, FaultPlan};
 
 fn main() {
@@ -39,7 +39,9 @@ fn main() {
         p,
         cost,
         ExecMode::Sequential,
-    );
+        &ResilienceOptions::default(),
+    )
+    .expect("a fault-free run cannot fail");
     println!(
         "fault-free  makespan {:.4}s, {} mappings",
         clean.report.makespan_secs(),
@@ -60,7 +62,7 @@ fn main() {
         plan,
         ..Default::default()
     };
-    let faulty = run_distributed_resilient(
+    let faulty = run_distributed(
         &subjects,
         &query_reads,
         &config,

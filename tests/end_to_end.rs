@@ -1,6 +1,8 @@
 //! End-to-end integration: simulate → map → evaluate, across all drivers.
 
-use jem_core::{map_reads_parallel, mapping_pairs, run_distributed, JemMapper, MapperConfig};
+use jem_core::{
+    map_reads_parallel, mapping_pairs, run_distributed, JemMapper, MapperConfig, ResilienceOptions,
+};
 use jem_eval::{Benchmark, MappingMetrics};
 use jem_psim::{CostModel, ExecMode};
 use jem_seq::SeqRecord;
@@ -90,7 +92,10 @@ fn all_three_drivers_agree() {
     let mut sequential = mapper.map_reads(&w.query_reads);
     sequential.sort_unstable_by_key(|m| (m.read_idx, m.end));
     let parallel = map_reads_parallel(&mapper, &w.query_reads);
-    assert_eq!(parallel, sequential, "rayon driver must equal sequential");
+    assert_eq!(
+        parallel, sequential,
+        "shared-memory driver must equal sequential"
+    );
     for p in [1, 4, 16] {
         let distributed = run_distributed(
             &w.subjects,
@@ -99,7 +104,9 @@ fn all_three_drivers_agree() {
             p,
             CostModel::ethernet_10g(),
             ExecMode::Sequential,
-        );
+            &ResilienceOptions::default(),
+        )
+        .expect("a fault-free run cannot fail");
         assert_eq!(
             distributed.mappings, sequential,
             "distributed p={p} must equal sequential"
@@ -134,7 +141,9 @@ fn scaling_report_is_sane() {
             p,
             CostModel::ethernet_10g(),
             ExecMode::Sequential,
+            &ResilienceOptions::default(),
         )
+        .expect("a fault-free run cannot fail")
     };
     let _ = run(2); // warm-up (page cache / allocator)
     let o2 = run(2);
