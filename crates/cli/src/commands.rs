@@ -14,14 +14,13 @@ use jem_psim::{CostModel, ExecMode, FaultPlan};
 use jem_scaffold::{scaffold, AssemblyStats, ScaffoldParams};
 use jem_seq::{FastqRecord, FastqWriter, SeqRecord};
 use jem_sim::{
-    contig_records, fragment_contigs, read_records, simulate_hifi, simulate_illumina,
-    ContigProfile, Genome, GenomeProfile, HifiProfile, IlluminaProfile, SegmentEnd,
+    contig_records, fragment_contigs, simulate_hifi, simulate_illumina, ContigProfile, Genome,
+    GenomeProfile, HifiProfile, IlluminaProfile, SegmentEnd,
 };
-use jem_sketch::{JemSketch, Minimizer, SketchScheme, SketchScratch};
+use jem_sketch::SketchScheme;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
-use std::time::Instant;
 
 /// Arm the process-global metrics recorder when `--metrics PATH` is given.
 /// Must run before any pipeline work so every stage reports into it.
@@ -726,205 +725,6 @@ pub fn cmd_scaffold(args: &Args) -> Result<(), CliError> {
     eprintln!("contigs:   {before}");
     eprintln!("scaffolds: {after}");
     write_fasta(args.req("out")?, &scaffolds)
-}
-
-/// Wall-clock a closure `iters` times and keep the best (smallest) run in
-/// nanoseconds — the standard noise-rejection scheme for a std-only bench.
-fn best_of_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    (0..iters.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-        .min()
-        .expect("at least one iteration")
-}
-
-/// Input bases per second at the best observed wall-clock.
-fn bases_per_sec(bases: usize, ns: u64) -> u64 {
-    ((bases as u128 * 1_000_000_000) / u128::from(ns.max(1))) as u64
-}
-
-/// `jem bench <stage>` — std-only micro-benchmarks over a seeded simulated
-/// dataset. The only stage today is `sketch`; the measured numbers land in
-/// a JSON trajectory file (default `BENCH_sketch.json`) so kernel changes
-/// are tracked against a committed baseline instead of folklore.
-pub fn cmd_bench(stage: Option<&str>, args: &Args) -> Result<(), CliError> {
-    match stage {
-        Some("sketch") => bench_sketch(args),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown bench stage {other:?} (try `jem bench sketch`)"
-        ))),
-        None => Err(CliError::Usage(
-            "jem bench needs a stage (try `jem bench sketch`)".into(),
-        )),
-    }
-}
-
-/// `jem bench sketch [--out BENCH_sketch.json] [--genome-len 2000000]
-///  [--coverage 2] [--iters 3] [config flags as for index]` — time the four
-///  layers of the sketching hot path on a seeded simulated contig set:
-///  block 2-bit encoding, position-list extraction (minimizers), T-trial
-///  sketch selection, and the end-to-end segment mapping loop. Each stage
-///  runs through the steady-state scratch-reuse path the production
-///  pipeline takes. Best-of-`--iters` wall clocks, reported as a bases/sec
-///  table on stderr, plus the `sketch.*` jem-obs counters for the same run.
-fn bench_sketch(args: &Args) -> Result<(), CliError> {
-    let out_path = args.get("out").unwrap_or("BENCH_sketch.json");
-    let genome_len: usize = args.get_or("genome-len", 2_000_000)?;
-    let coverage: f64 = args.get_or("coverage", 2.0)?;
-    let iters = positive_count(args, "iters", 3)?;
-    let (config, scheme) = mapper_config(args)?;
-    // Arm the recorder unconditionally: the counters are part of the report.
-    let rec = jem_obs::install_default();
-
-    // Deterministic dataset: same seed → same genome, contigs and reads,
-    // so two checkouts produce comparable throughput on the same machine.
-    let genome = Genome::random(genome_len, 0.5, config.seed);
-    let contigs = contig_records(&fragment_contigs(
-        &genome,
-        &ContigProfile {
-            error_rate: 0.0,
-            ..ContigProfile::small_genome()
-        },
-        config.seed + 1,
-    ));
-    let reads = read_records(&simulate_hifi(
-        &genome,
-        &HifiProfile {
-            coverage,
-            ..Default::default()
-        },
-        config.seed + 2,
-    ));
-    let subject_bases: usize = contigs.iter().map(|c| c.seq.len()).sum();
-    let query_bases: usize = reads.iter().map(|r| r.seq.len()).sum();
-    eprintln!(
-        "bench sketch: {} contigs ({subject_bases} bases), {} reads ({query_bases} bases), \
-         k={} T={} ell={} iters={iters}",
-        contigs.len(),
-        reads.len(),
-        config.k,
-        config.trials,
-        config.ell
-    );
-
-    // Stage 0 — block 2-bit encoding over every contig (the front half of
-    // minimizer extraction, measured on its own so encoder changes are
-    // visible instead of folded into the winnowing number).
-    let mut encoder = jem_seq::BlockEncoded::default();
-    let encode_ns = best_of_ns(iters, || {
-        for c in contigs.iter() {
-            encoder.encode_into(&c.seq);
-        }
-    });
-
-    // Stage 1 — position-list extraction over every contig, through the
-    // same scratch-reuse path the index builder and mapping loops take.
-    let mut lists: Vec<Vec<Minimizer>> = vec![Vec::new(); contigs.len()];
-    let mut winnow = jem_sketch::WinnowScratch::default();
-    let minimizers_ns = best_of_ns(iters, || {
-        for (c, list) in contigs.iter().zip(lists.iter_mut()) {
-            scheme.extract_into(&c.seq, config.k, &mut winnow, list);
-        }
-    });
-    let n_positions: usize = lists.iter().map(Vec::len).sum();
-
-    // Stage 2 — T-trial sketch selection over the precomputed lists,
-    // through the steady-state reuse path every production loop takes (one
-    // scratch and one output sketch carried across all subjects).
-    let family = config.hash_family();
-    let mut sketch_entries = 0usize;
-    let mut scratch = SketchScratch::new();
-    let mut sketch = JemSketch::default();
-    let select_ns = best_of_ns(iters, || {
-        sketch_entries = 0;
-        for list in &lists {
-            jem_sketch::sketch_minimizer_list_into(
-                list,
-                config.ell,
-                &family,
-                &mut scratch,
-                &mut sketch,
-            );
-            sketch_entries += sketch.total_entries();
-        }
-    });
-
-    // Stage 3 — end-to-end segment mapping against a built index.
-    let mapper = JemMapper::build_with_scheme(&contigs, &config, scheme);
-    let segments = make_segments(&reads, config.ell);
-    let mut n_mapped = 0usize;
-    let map_ns = best_of_ns(iters, || {
-        n_mapped = mapper.map_segments(&segments).len();
-    });
-
-    let counters: Vec<(String, u64)> = match rec {
-        Some(r) => r
-            .snapshot()
-            .counters
-            .into_iter()
-            .filter(|(k, _)| k.starts_with("sketch."))
-            .collect(),
-        None => Vec::new(),
-    };
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema_version\": 1,\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"k\": {}, \"w\": {}, \"trials\": {}, \"ell\": {}, \"seed\": {}}},\n",
-        config.k, config.w, config.trials, config.ell, config.seed
-    ));
-    json.push_str(&format!(
-        "  \"dataset\": {{\"genome_len\": {genome_len}, \"subjects\": {}, \"subject_bases\": {subject_bases}, \
-         \"reads\": {}, \"query_bases\": {query_bases}, \"segments\": {}, \"positions\": {n_positions}}},\n",
-        contigs.len(),
-        reads.len(),
-        segments.len()
-    ));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str("  \"stages\": {\n");
-    json.push_str(&format!(
-        "    \"encode\": {{\"ns\": {encode_ns}, \"bases_per_sec\": {}}},\n",
-        bases_per_sec(subject_bases, encode_ns)
-    ));
-    json.push_str(&format!(
-        "    \"minimizers\": {{\"ns\": {minimizers_ns}, \"bases_per_sec\": {}}},\n",
-        bases_per_sec(subject_bases, minimizers_ns)
-    ));
-    json.push_str(&format!(
-        "    \"select\": {{\"ns\": {select_ns}, \"bases_per_sec\": {}, \"sketch_entries\": {sketch_entries}}},\n",
-        bases_per_sec(subject_bases, select_ns)
-    ));
-    json.push_str(&format!(
-        "    \"map\": {{\"ns\": {map_ns}, \"bases_per_sec\": {}, \"mapped\": {n_mapped}}}\n",
-        bases_per_sec(query_bases, map_ns)
-    ));
-    json.push_str("  },\n  \"counters\": {");
-    for (i, (k, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!("\n    \"{k}\": {v}"));
-    }
-    json.push_str("\n  }\n}\n");
-
-    let mut out = AtomicFile::create(out_path).map_err(CliError::io(out_path))?;
-    out.write_all(json.as_bytes())
-        .map_err(CliError::io(out_path))?;
-    out.commit().map_err(CliError::io(out_path))?;
-    eprintln!("{:<12} {:>14} {:>16}", "stage", "best ns", "bases/s");
-    for (stage, bases, ns) in [
-        ("encode", subject_bases, encode_ns),
-        ("minimizers", subject_bases, minimizers_ns),
-        ("select", subject_bases, select_ns),
-        ("map", query_bases, map_ns),
-    ] {
-        eprintln!("{stage:<12} {ns:>14} {:>16}", bases_per_sec(bases, ns));
-    }
-    eprintln!("bench report written to {out_path}");
-    Ok(())
 }
 
 /// Map a serving-layer failure onto the CLI error taxonomy. Quota

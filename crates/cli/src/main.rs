@@ -97,11 +97,6 @@ COMMANDS:
                 (--mappings FILE | --paf FILE | both) --truth FILE [--k 16]
                 [--tolerance 100  max start offset in bases for a PAF
                 placement to count as correct]
-  bench       std-only micro-benchmarks on a seeded simulated dataset
-              (stage: sketch). Writes a JSON perf trajectory file.
-                jem bench sketch [--out BENCH_sketch.json]
-                [--genome-len 2000000] [--coverage 2] [--iters 3]
-                [config flags as for index]
   scaffold    chain contigs linked by long reads into scaffolds
                 --subjects FILE --mappings FILE --out FILE
                 [--min-support 2] [--gap 100]
@@ -117,38 +112,31 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // `jem bench <stage>` carries one positional stage name; peel it off
-    // before flag parsing (the parser rejects bare positionals by design).
-    let mut argv = argv.peekable();
-    let bench_stage = if command == "bench" {
-        match argv.peek() {
-            Some(tok) if !tok.starts_with("--") => argv.next(),
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let result = Args::parse(argv).and_then(|args| match command.as_str() {
-        "bench" => commands::cmd_bench(bench_stage.as_deref(), &args),
-        "index" => commands::cmd_index(&args),
-        "map" => commands::cmd_map(&args),
-        "serve" => commands::cmd_serve(&args),
-        "route" => commands::cmd_route(&args),
-        "query" => commands::cmd_query(&args),
-        "distributed" => commands::cmd_distributed(&args),
-        "contained" => commands::cmd_contained(&args),
-        "simulate" => commands::cmd_simulate(&args),
-        "assemble" => commands::cmd_assemble(&args),
-        "eval" => commands::cmd_eval(&args),
-        "scaffold" => commands::cmd_scaffold(&args),
-        "help" | "--help" | "-h" => {
+    // Resolve the command before parsing its flags, so a removed or
+    // misspelt command is named as such whatever follows it.
+    let run: fn(&Args) -> Result<(), CliError> = match command.as_str() {
+        "index" => commands::cmd_index,
+        "map" => commands::cmd_map,
+        "serve" => commands::cmd_serve,
+        "route" => commands::cmd_route,
+        "query" => commands::cmd_query,
+        "distributed" => commands::cmd_distributed,
+        "contained" => commands::cmd_contained,
+        "simulate" => commands::cmd_simulate,
+        "assemble" => commands::cmd_assemble,
+        "eval" => commands::cmd_eval,
+        "scaffold" => commands::cmd_scaffold,
+        "help" | "--help" | "-h" => |_| {
             print!("{USAGE}");
             Ok(())
+        },
+        other => {
+            let e = CliError::Usage(format!("unknown command {other:?} (try `jem help`)"));
+            eprintln!("error: {e}");
+            std::process::exit(e.exit_code());
         }
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?} (try `jem help`)"
-        ))),
-    });
+    };
+    let result = Args::parse(argv).and_then(|args| run(&args));
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code());

@@ -160,9 +160,11 @@ fn errors_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
 
-    let out = jem().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for argv in [&["frobnicate"][..], &["bench", "sketch"]] {
+        let out = jem().args(argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    }
 
     let out = jem().output().unwrap();
     assert!(!out.status.success());

@@ -759,10 +759,16 @@ mod tests {
     #[test]
     fn strong_scaling_reduces_query_critical_path() {
         let (subjects, reads) = world_data();
+        // One wall-clock sample on a shared host can double; the min over
+        // repeated runs is the stable estimator, as in Table II.
         let q = |p| {
-            clean(&subjects, &reads, p, CostModel::zero())
-                .report
-                .step_secs("query map")
+            (0..5)
+                .map(|_| {
+                    clean(&subjects, &reads, p, CostModel::zero())
+                        .report
+                        .step_secs("query map")
+                })
+                .fold(f64::INFINITY, f64::min)
         };
         let q1 = q(1);
         let q8 = q(8);

@@ -200,7 +200,7 @@ pub fn load_index<R: Read>(input: &mut R) -> Result<JemMapper, SeqError> {
         let declared = read_u64(input)?;
         load_v3_body(input, body_len, declared)
     } else if &magic == MAGIC_V4 || &magic == MAGIC_V5 {
-        load_words_stream(input, u64::from_le_bytes(magic))
+        load_words_stream(input, u64::from_le_bytes(magic), Integrity::Full)
     } else {
         Err(format_err("not a JEM index file (bad magic)"))
     }
@@ -209,7 +209,11 @@ pub fn load_index<R: Read>(input: &mut R) -> Result<JemMapper, SeqError> {
 /// Read a v4 or v5 file from a stream (magic already consumed): the
 /// portable owned-buffer path. The header is read and sanity-checked
 /// before the body so a bogus stream fails before bulk allocation.
-fn load_words_stream<R: Read>(input: &mut R, magic: u64) -> Result<JemMapper, SeqError> {
+fn load_words_stream<R: Read>(
+    input: &mut R,
+    magic: u64,
+    integrity: Integrity,
+) -> Result<JemMapper, SeqError> {
     let mut header = [0u64; HEADER_WORDS];
     header[0] = magic;
     for w in header.iter_mut().skip(1) {
@@ -247,7 +251,7 @@ fn load_words_stream<R: Read>(input: &mut R, magic: u64) -> Result<JemMapper, Se
             "index frame has trailing bytes after the declared length",
         ));
     }
-    parse_words(Arc::new(words), Integrity::Full)
+    parse_words(Arc::new(words), integrity)
 }
 
 /// A memory-mapped word source (newtype so the `WordSource` impl lives
@@ -365,26 +369,15 @@ pub fn load_index_path_opts(
                 parse_words(Arc::new(MappedWords(map)), integrity)
             }
             Err(_) => {
-                // Portable fallback: one owned read of the whole file.
-                file.seek(SeekFrom::Start(0))?;
-                let mut words = Vec::with_capacity((file_len / 8) as usize);
-                let mut input = BufReader::new(file);
-                let mut buf = vec![0u8; 64 * 1024];
-                loop {
-                    let n = input.read(&mut buf)?;
-                    if n == 0 {
-                        break;
-                    }
-                    for chunk in buf[..n].chunks_exact(8) {
-                        words.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-                    }
-                    if n % 8 != 0 {
-                        return Err(format_err("index file changed size during load"));
-                    }
-                }
+                // Portable fallback: one owned read of the words after the magic.
+                file.seek(SeekFrom::Start(8))?;
                 rec.add("persist.load_owned", 1);
                 rec.add("persist.arena_copy_bytes", file_len);
-                parse_words(Arc::new(words), integrity)
+                load_words_stream(
+                    &mut BufReader::new(file),
+                    u64::from_le_bytes(magic),
+                    integrity,
+                )
             }
         }
     } else {

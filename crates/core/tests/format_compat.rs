@@ -21,7 +21,7 @@ use jem_core::{
     load_index, load_index_path, save_index, write_mappings_tsv, JemMapper, MapperConfig,
 };
 use jem_seq::{FastaReader, FastqReader, FastqRecord, SeqRecord};
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 use std::path::{Path, PathBuf};
 
 /// A committed artifact of the format-compat fixtures.
@@ -104,6 +104,28 @@ fn save_mmap_load_save_is_a_byte_fixed_point() {
     // And the upgrade of an upgrade is still the same file.
     let twice = load_index_path(&path).unwrap();
     assert!(v5_bytes(&twice) == committed);
+}
+
+/// A reader that hands out at most 3 bytes per call, as `Read::read` may.
+struct Trickle<'a>(&'a [u8]);
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(3).min(self.0.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn short_reads_load_the_v5_fixture_like_the_path_load() {
+    let committed = std::fs::read(fixture("index_v5.jem")).unwrap();
+    let streamed = load_index(&mut Trickle(&committed)).unwrap();
+    let from_path = load_index_path(fixture("index_v5.jem")).unwrap();
+    let reads = fixture_reads();
+    assert!(tsv(&streamed, &reads) == tsv(&from_path, &reads));
+    assert!(v5_bytes(&streamed) == committed);
 }
 
 #[test]

@@ -10,11 +10,11 @@
 //! ([`protocol`], magic `JEMSRV1\0` — the serving twin of the `JEMIDX3`
 //! persist frame).
 //!
-//! Load-shedding is explicit: requests pass through a bounded queue
-//! ([`queue::BoundedQueue`]); when it is full the server answers
-//! [`Response::Busy`] instead of buffering unboundedly. Workers batch up
-//! to `batch` queued requests per index pass and reuse one lazy hit
-//! counter across batches (the paper's O(1)-reset strategy is what makes
+//! Load-shedding is explicit: requests pass through a bounded per-client
+//! fair queue ([`FairQueue`]); when the client's lane is full the server
+//! answers [`Response::Busy`] instead of buffering unboundedly. Workers
+//! batch up to `batch` queued requests per index pass and reuse one lazy
+//! hit counter across batches (the paper's O(1)-reset strategy is what makes
 //! that reuse free). Shutdown — local via [`server::ServerHandle::shutdown`]
 //! or remote via [`Request::Shutdown`] — drains every admitted request and
 //! returns a final `jem-obs` metrics snapshot.
@@ -52,7 +52,7 @@ pub use protocol::{
     read_frame, read_frame_versioned, write_frame, write_frame_versioned, ProtocolVersion, Request,
     Response, SegmentPartials, ServerInfo, MAGIC, MAGIC_V2, MAGIC_V3, MAX_BODY, MAX_CLIENT_ID,
 };
-pub use queue::{BoundedQueue, FairQueue, PushError};
+pub use queue::{FairQueue, PushError};
 pub use registry::{ShardRegistry, ShardSpec};
 pub use router::{
     merge_partials, start_router, validate_partials, RouterConfig, RouterHandle, RouterReport,

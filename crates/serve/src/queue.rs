@@ -1,125 +1,32 @@
-//! Bounded MPMC job queues built on `Mutex` + `Condvar` (std-only).
+//! The server's bounded MPMC job queue, built on `Mutex` + `Condvar`
+//! (std-only).
 //!
 //! This is the backpressure point of the service: the accept loop pushes
-//! with the non-blocking [`BoundedQueue::try_push`] and turns `Full` into a
+//! with the non-blocking [`FairQueue::try_push`] and turns `Full` into a
 //! `Busy` reply instead of buffering unboundedly, while workers block in
-//! [`BoundedQueue::pop_batch`] until work or shutdown arrives. Closing the
+//! [`FairQueue::pop_batch`] until work or shutdown arrives. Closing the
 //! queue wakes every waiter but lets them drain what is already queued —
 //! that drain is what makes shutdown graceful.
 //!
-//! Two queues share those semantics:
-//!
-//! * [`BoundedQueue`] — the original single-FIFO queue, still used where
-//!   every producer is equivalent.
-//! * [`FairQueue`] — per-client deficit-round-robin lanes, each with its
-//!   *own* capacity, so one greedy client fills only its own lane (and
-//!   sees `Busy`) while other clients' lanes stay shallow and keep their
-//!   latency. Workers drain lanes round-robin, each lane spending a
-//!   per-visit deficit measured in request cost (segments), which is what
-//!   makes the fairness *weighted*: a client sending huge batches drains
-//!   no faster than one sending small ones.
+//! The queue keeps one deficit-round-robin lane per client, each with its
+//! *own* capacity, so one greedy client fills only its own lane (and sees
+//! `Busy`) while other clients' lanes stay shallow and keep their latency.
+//! Workers drain lanes round-robin, each lane spending a per-visit
+//! deficit measured in request cost (segments), which is what makes the
+//! fairness *weighted*: a client sending huge batches drains no faster
+//! than one sending small ones.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a [`BoundedQueue::try_push`] was refused.
+/// Why a [`FairQueue::try_push`] was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PushError {
-    /// The queue is at capacity (backpressure — reply `Busy`).
+    /// The client's lane is at capacity (backpressure — reply `Busy`).
     Full,
     /// The queue was closed (shutdown in progress).
     Closed,
 }
-
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Fixed-capacity multi-producer/multi-consumer queue.
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    ready: Condvar,
-    cap: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Queue holding at most `cap` items (`cap ≥ 1`).
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1, "queue capacity must be at least 1");
-        BoundedQueue {
-            state: Mutex::new(State {
-                items: VecDeque::with_capacity(cap),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Enqueue without blocking. Returns the current depth (after the
-    /// push) on success — the queue-depth metric is sampled from this.
-    /// A refused item is handed back along with the reason, so the caller
-    /// can still answer its connection (`Busy`).
-    pub fn try_push(&self, item: T) -> Result<usize, (T, PushError)> {
-        let mut s = self.state.lock().expect("queue lock poisoned");
-        if s.closed {
-            return Err((item, PushError::Closed));
-        }
-        if s.items.len() >= self.cap {
-            return Err((item, PushError::Full));
-        }
-        s.items.push_back(item);
-        let depth = s.items.len();
-        drop(s);
-        self.ready.notify_one();
-        Ok(depth)
-    }
-
-    /// Dequeue up to `max` items, blocking while the queue is empty and
-    /// open. Returns an empty vec only when the queue is closed *and*
-    /// fully drained — the worker's signal to exit.
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let max = max.max(1);
-        let mut s = self.state.lock().expect("queue lock poisoned");
-        loop {
-            if !s.items.is_empty() {
-                let take = max.min(s.items.len());
-                let batch: Vec<T> = s.items.drain(..take).collect();
-                // More work may remain for the other workers.
-                if !s.items.is_empty() {
-                    self.ready.notify_one();
-                }
-                return batch;
-            }
-            if s.closed {
-                return Vec::new();
-            }
-            s = self.ready.wait(s).expect("queue lock poisoned");
-        }
-    }
-
-    /// Close the queue: producers are refused from now on, consumers
-    /// drain the remainder and then observe the close. Idempotent.
-    pub fn close(&self) {
-        let mut s = self.state.lock().expect("queue lock poisoned");
-        s.closed = true;
-        drop(s);
-        self.ready.notify_all();
-    }
-
-    /// Current number of queued items (snapshot).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").items.len()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// --- weighted fair queueing ---------------------------------------------
 
 /// Depths reported by a successful [`FairQueue::try_push`]: the pushing
 /// client's lane depth feeds the per-lane gauge, the total feeds the
@@ -311,81 +218,6 @@ impl<T> FairQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn push_pop_fifo() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.pop_batch(10), vec![1, 2]);
-    }
-
-    #[test]
-    fn full_queue_refuses_and_returns_the_item() {
-        let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err((3, PushError::Full)));
-        // Draining one slot readmits.
-        assert_eq!(q.pop_batch(1), vec![1]);
-        assert_eq!(q.try_push(3), Ok(2));
-    }
-
-    #[test]
-    fn close_refuses_producers_but_drains_consumers() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.close();
-        assert_eq!(q.try_push(2), Err((2, PushError::Closed)));
-        assert_eq!(q.pop_batch(4), vec![1], "queued work must drain");
-        assert!(q.pop_batch(4).is_empty(), "then the close is observed");
-    }
-
-    #[test]
-    fn close_is_idempotent() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(1);
-        q.close();
-        q.close();
-        assert!(q.pop_batch(1).is_empty());
-    }
-
-    #[test]
-    fn batch_respects_max() {
-        let q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.pop_batch(4).len(), 4);
-        assert_eq!(q.pop_batch(4).len(), 2);
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_on_push() {
-        let q = Arc::new(BoundedQueue::new(2));
-        let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || q2.pop_batch(1));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(42).unwrap();
-        assert_eq!(consumer.join().unwrap(), vec![42]);
-    }
-
-    #[test]
-    fn blocked_consumer_wakes_on_close() {
-        let q: Arc<BoundedQueue<u8>> = Arc::new(BoundedQueue::new(2));
-        let q2 = Arc::clone(&q);
-        let consumer = std::thread::spawn(move || q2.pop_batch(1));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert!(consumer.join().unwrap().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_capacity_rejected() {
-        let _ = BoundedQueue::<u8>::new(0);
-    }
-
-    // --- FairQueue ------------------------------------------------------
 
     fn push(q: &FairQueue<&'static str>, lane: &str, item: &'static str) -> FairDepth {
         q.try_push(lane, 1, item).unwrap()
